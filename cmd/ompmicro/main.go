@@ -3,7 +3,11 @@
 // wall-clock overhead of the shm runtime's synchronisation primitives
 // on the host, prints the modelled overheads of the three virtual
 // platforms, and combines them into the paper's Section 9.3 estimate
-// of OpenMP synchronisation cost per block per iteration.
+// of OpenMP synchronisation cost per block per iteration. An atomic
+// update row measures a host CAS-spinlock add beside the modelled
+// per-update lock cost: the shm force loop charges that cost but takes
+// no locks on the host, so this is where the real lock cost is
+// measured.
 package main
 
 import (
@@ -11,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"hybriddem/internal/machine"
@@ -25,6 +31,38 @@ func measure(reps int, fn func()) float64 {
 		fn()
 	}
 	return time.Since(start).Seconds() / float64(reps)
+}
+
+// spinCell is one force accumulator guarded by a CAS spinlock: the
+// host form of the protected update the cost model charges as an
+// atomic.
+type spinCell struct {
+	lock atomic.Int32
+	v    float64
+}
+
+func (c *spinCell) add(x float64) {
+	for !c.lock.CompareAndSwap(0, 1) {
+		runtime.Gosched()
+	}
+	c.v += x
+	c.lock.Store(0)
+}
+
+// atomicUpdate returns the wall time per spinlock add as seen by each
+// of T threads adding to one shared cell (T=1: uncontended).
+func atomicUpdate(T, reps int) float64 {
+	tm := shm.NewTeam(T, shm.Costs{})
+	defer tm.Close()
+	var c spinCell
+	const inner = 1000
+	return measure(reps/20+1, func() {
+		tm.Region(func(th *shm.Thread) {
+			for i := 0; i < inner; i++ {
+				c.add(1)
+			}
+		})
+	}) / inner
 }
 
 func main() {
@@ -82,6 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			pf.CriticalOp*1e6,
 			pf.ReductionWordCost(4)*1e9)
 	}
+	fmt.Fprintf(stdout, "%-5s %12s %14s %12.3fus %14s %14s  <- atomic update: CAS-spinlock add, T=4 contending (%.3fus uncontended)\n",
+		"host", "", "", atomicUpdate(4, *reps)*1e6, "", "", atomicUpdate(1, *reps)*1e6)
 
 	// Section 9.3: the hybrid code enters roughly one region per block
 	// (force) plus two fused regions per iteration, each with its

@@ -15,6 +15,7 @@ func TestRunMicroSmoke(t *testing.T) {
 		"host wall-clock overheads",
 		"modelled per-event overheads",
 		"Section 9.3 estimate",
+		"atomic update: CAS-spinlock add",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q", want)

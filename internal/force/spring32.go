@@ -76,7 +76,7 @@ func (s Spring) AccumulateF32(ps *particle.Store, links []cell.Link, nCore int, 
 	case 3:
 		epot, contacts, distSum = s.accumulateF32d3(ps, links, nCore, box, sc)
 	default:
-		epot, contacts, distSum = s.accumulateSlow(ps, links, nCore, box)
+		epot, contacts, distSum = s.accumulateSlow(ps, links, nCore, box, 0, 1, nil)
 	}
 	if tc != nil {
 		n := int64(len(links))

@@ -429,3 +429,46 @@ func TestLifecycleValidation(t *testing.T) {
 		t.Errorf("rejected counter = %d, want 9", st.Rejected)
 	}
 }
+
+// TestStatusRaceFreeWhileAttemptsStart is the -race regression test
+// for the per-attempt iteration baseline: every attempt start resets
+// it right after the job turns running, while status computes the
+// step rate from it without the job lock. A persistent injected fault
+// makes each job start several attempts, and the test polls every
+// job's status throughout.
+func TestStatusRaceFreeWhileAttemptsStart(t *testing.T) {
+	s := newDurable(t, Options{Workers: 2, DataDir: t.TempDir(), RetryBackoff: time.Millisecond})
+	var ids []string
+	for i := 0; i < 4; i++ {
+		spec := JobSpec{D: 2, N: 100, Iters: 30, Mode: "mpi", P: 1,
+			MaxRestarts: 3, ChaosKill: "0@3", ChaosEveryAttempt: true}
+		r := s.Submit(&spec)
+		if !r.OK {
+			t.Fatalf("submit: %s", r.Error)
+		}
+		ids = append(ids, r.ID)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for live := len(ids); live > 0; {
+		live = 0
+		for _, id := range ids {
+			resp := s.Status(id)
+			if !resp.OK {
+				t.Fatalf("status %s: %s", id, resp.Error)
+			}
+			switch resp.Job.State {
+			case "done", "canceled", "failed":
+			default:
+				live++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still live", live)
+		}
+	}
+	for _, id := range ids {
+		if st := s.Status(id).Job; st.State != "failed" || st.Restarts != 3 {
+			t.Errorf("job %s ended %s after %d restarts, want failed after 3", id, st.State, st.Restarts)
+		}
+	}
+}

@@ -59,6 +59,13 @@ func (b *clockBarrier) abort() {
 	b.mu.Unlock()
 }
 
+// isAborted reports whether a thread of the current region died.
+func (b *clockBarrier) isAborted() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.aborted
+}
+
 // reset clears any aborted state and half-completed arrival counts so
 // the barrier is reusable by the next region. Called at region entry,
 // when no thread can be waiting.

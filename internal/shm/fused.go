@@ -2,8 +2,6 @@ package shm
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -16,18 +14,6 @@ import (
 type BlockStore struct {
 	PS    *particle.Store
 	NCore int
-}
-
-// spinAdd accumulates sign*v into column p of the component-major dst
-// under a per-particle spinlock.
-func spinAdd(locks []int32, p int32, dst *geom.Coords, v geom.Vec, d int, sign float64) {
-	for !atomic.CompareAndSwapInt32(&locks[p], 0, 1) {
-		runtime.Gosched()
-	}
-	for k := 0; k < d; k++ {
-		dst[k][p] += sign * v[k]
-	}
-	atomic.StoreInt32(&locks[p], 0)
 }
 
 type zeroBlocksBody struct {
@@ -99,8 +85,10 @@ type FusedPiece struct {
 // block". Threads chunk the *concatenated* link list, so with many
 // blocks per thread most blocks are private to one thread and the
 // conflict (lock) fraction collapses, while fork/join overhead drops
-// from one region per block to one region per iteration. All scratch
-// (offsets, conflict tables, locks) is reused across Prepare calls.
+// from one region per block to one region per iteration. It runs the
+// owner-write loop of Updater over the pieces in order, so every
+// block's forces are bit-identical to the serial kernel's. All scratch
+// (offsets, conflict tables, logs) is reused across Prepare calls.
 type FusedUpdater struct {
 	Method Method
 
@@ -109,13 +97,12 @@ type FusedUpdater struct {
 	total   int
 	T       int
 	tables  []*ConflictTable
-	locks   [][]int32
 	ranges  [][2]int // per-thread range scratch, reused per piece
+	own     ownerWrites
 
 	epotPer []float64
 	sp      force.Spring
 	box     geom.Box
-	hook    func(m Method, idI, idJ int32, fi geom.Vec) geom.Vec
 	gate    *HaloGate
 	body    fusedBody
 }
@@ -132,8 +119,9 @@ func NewFusedUpdater(m Method) *FusedUpdater {
 	}
 }
 
-// Prepare recomputes the global chunking and per-piece conflict tables
-// for the current lists, reusing the updater's scratch; call at every
+// Prepare recomputes the global chunking, the per-piece conflict
+// tables and the per-thread charge counts and logs for the current
+// lists, reusing the updater's scratch; call at every
 // rebuild. The pieces slice is retained (not copied), so callers that
 // rebuild repeatedly should reuse one slice.
 func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
@@ -154,12 +142,7 @@ func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
 		fu.tables = tables
 	}
 	fu.tables = fu.tables[:len(pieces)]
-	if cap(fu.locks) < len(pieces) {
-		locks := make([][]int32, len(pieces))
-		copy(locks, fu.locks)
-		fu.locks = locks
-	}
-	fu.locks = fu.locks[:len(pieces)]
+	fu.own.reset(T, len(pieces))
 	if cap(fu.ranges) < T {
 		fu.ranges = make([][2]int, T)
 	}
@@ -174,23 +157,15 @@ func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
 			}
 			ranges[t] = [2]int{lo, hi}
 		}
-		if fu.Method == SelectedAtomic {
-			if fu.tables[i] == nil {
-				fu.tables[i] = new(ConflictTable)
-			}
-			fu.tables[i].rebuildRanges(p.Links, p.PS.Len(), p.NCore, ranges)
+		if fu.tables[i] == nil {
+			fu.tables[i] = new(ConflictTable)
 		}
-		n := p.PS.Len()
-		if cap(fu.locks[i]) < n {
-			fu.locks[i] = make([]int32, n)
-		}
-		fu.locks[i] = fu.locks[i][:n]
-		// Re-zero the reused prefix so a lock abandoned by an aborted
-		// region cannot deadlock the next run.
-		for k := range fu.locks[i] {
-			fu.locks[i][k] = 0
+		fu.tables[i].rebuildRanges(p.Links, p.PS.Len(), p.NCore, ranges)
+		for t, r := range ranges {
+			fu.own.count(t, fu.Method, p.Links[r[0]:r[1]], fu.tables[i].shared, p.NCore)
 		}
 	}
+	fu.own.allocLogs()
 	if cap(fu.epotPer) < T {
 		fu.epotPer = make([]float64, T)
 	}
@@ -209,13 +184,14 @@ func clampRange(v, n int) int {
 }
 
 // NumShared returns the total number of protected particles across
-// all pieces.
+// all pieces under the selected-atomic method, 0 for the others.
 func (fu *FusedUpdater) NumShared() int {
+	if fu.Method != SelectedAtomic {
+		return 0
+	}
 	n := 0
 	for _, t := range fu.tables {
-		if t != nil {
-			n += t.nShared
-		}
+		n += t.nShared
 	}
 	return n
 }
@@ -229,7 +205,7 @@ func (b *fusedBody) RunThread(th *Thread) { b.fu.runThread(th) }
 func (fu *FusedUpdater) Accumulate(tm *Team, sp force.Spring, box geom.Box) float64 {
 	fu.setupRegion(tm, sp, box, nil)
 	tm.RunRegion(&fu.body)
-	return fu.sumEpot()
+	return fu.finish()
 }
 
 // AccumulateStart dispatches the fused force region to the worker
@@ -246,7 +222,7 @@ func (fu *FusedUpdater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box,
 // and returns the potential energy.
 func (fu *FusedUpdater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 	tm.FinishRegion(masterAt)
-	return fu.sumEpot()
+	return fu.finish()
 }
 
 func (fu *FusedUpdater) setupRegion(tm *Team, sp force.Spring, box geom.Box, gate *HaloGate) {
@@ -255,12 +231,15 @@ func (fu *FusedUpdater) setupRegion(tm *Team, sp force.Spring, box geom.Box, gat
 	}
 	fu.sp = sp
 	fu.box = box
-	fu.hook = PairForceHook
+	fu.own.setHook(fu.Method, PairForceHook)
 	fu.gate = gate
 	fu.body.fu = fu
 }
 
-func (fu *FusedUpdater) sumEpot() float64 {
+// finish replays the owner-write logs on the master and folds the
+// per-thread potential-energy partials in thread order.
+func (fu *FusedUpdater) finish() float64 {
+	fu.own.replay()
 	epot := 0.0
 	for _, e := range fu.epotPer {
 		epot += e
@@ -268,114 +247,29 @@ func (fu *FusedUpdater) sumEpot() float64 {
 	return epot
 }
 
-// runThread is one thread's share of the fused force loop.
+// runThread is one thread's share of the fused force loop: its global
+// chunk clipped to each piece in turn.
 func (fu *FusedUpdater) runThread(th *Thread) {
-	tm := th.team
-	costs := tm.Costs
-	glo, ghi := chunk(fu.total, tm.T, th.ID)
-	epot := 0.0
-	var taken, avoided, nl, distSum, contacts, contactsHalo int64
-	var effLinks float64
-	hw := costs.haloWork()
+	glo, ghi := chunk(fu.total, th.team.T, th.ID)
+	split := fu.own.begin(th.ID)
+	var tl spanTally
 	// One gate wait suffices: the exchange delivers every block's halo
 	// before the gate opens, so after the first wait the remaining
 	// pieces' halo links are safe too.
 	gate := fu.gate
 	for pi := range fu.pieces {
 		p := &fu.pieces[pi]
-		lo := glo - fu.offsets[pi]
-		hi := ghi - fu.offsets[pi]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(p.Links) {
-			hi = len(p.Links)
-		}
+		lo := max(glo-fu.offsets[pi], 0)
+		hi := min(ghi-fu.offsets[pi], len(p.Links))
 		if hi <= lo {
 			continue
 		}
-		d := p.PS.D
-		pos, vel, frc, ids := &p.PS.Pos, &p.PS.Vel, &p.PS.Frc, p.PS.ID
-		locks := fu.locks[pi]
-		var shared []bool
-		if fu.Method == SelectedAtomic {
-			shared = fu.tables[pi].shared
+		if th.ID > 0 {
+			split.Deferred = fu.tables[pi].shared
 		}
-		if gate != nil && lo >= p.NCoreLinks {
-			gate.Wait(th)
-			gate = nil
-		}
-		for li := lo; li < hi; li++ {
-			if gate != nil && li == p.NCoreLinks {
-				gate.Wait(th)
-				gate = nil
-			}
-			l := p.Links[li]
-			disp := fu.box.DispAt(pos, l.I, l.J)
-			rel := geom.SubAt(vel, l.J, l.I, d)
-			fi, e, contact := fu.sp.PairID(ids[l.I], ids[l.J], disp, rel, d)
-			if fu.hook != nil {
-				fi = fu.hook(fu.Method, ids[l.I], ids[l.J], fi)
-			}
-			if li < p.NCoreLinks {
-				if contact {
-					contacts++
-				}
-				epot += e
-			} else {
-				if contact {
-					contactsHalo++
-				}
-				epot += 0.5 * e
-			}
-			fu.apply(th, locks, shared, frc, l.I, fi, +1, d, &taken, &avoided)
-			if int(l.J) < p.NCore {
-				fu.apply(th, locks, shared, frc, l.J, fi, -1, d, &taken, &avoided)
-			}
-			di := int64(l.I) - int64(l.J)
-			if di < 0 {
-				di = -di
-			}
-			distSum += di
-		}
-		nl += int64(hi - lo)
-		coreN, haloN := splitLinks(lo, hi, p.NCoreLinks)
-		effLinks += float64(coreN) + float64(haloN)*hw
+		gate = tl.run(th, fu.sp, fu.box, p.PS, p.Links, lo, hi, p.NCoreLinks, p.NCore, split, gate)
+		fu.own.endSpan(th.ID, p.PS)
 	}
-	th.TC.ForceEvals += nl
-	th.TC.LinkVisits += nl
-	th.TC.Contacts += contacts + contactsHalo
-	th.TC.ForceUpdates += taken + avoided
-	th.TC.AtomicsTaken += taken
-	th.TC.AtomicsAvoided += avoided
-	th.TC.LinkIndexDistSum += distSum
-	th.TC.LinkIndexDistN += nl
-	th.Compute(effLinks*costs.PerLink +
-		(float64(contacts)+float64(contactsHalo)*hw)*costs.PerContact +
-		float64(avoided)*costs.PerUpdate +
-		float64(taken)*(costs.PerUpdate+costs.AtomicTaken))
-	fu.epotPer[th.ID] = epot
-}
-
-func (fu *FusedUpdater) apply(th *Thread, locks []int32, shared []bool, frc *geom.Coords, p int32, v geom.Vec, sign float64, d int, taken, avoided *int64) {
-	switch fu.Method {
-	case Atomic:
-		spinAdd(locks, p, frc, v, d, sign)
-		*taken++
-	case SelectedAtomic:
-		if shared[p] {
-			spinAdd(locks, p, frc, v, d, sign)
-			*taken++
-		} else {
-			for k := 0; k < d; k++ {
-				frc[k][p] += sign * v[k]
-			}
-			*avoided++
-		}
-	case Unprotected:
-		for k := 0; k < d; k++ {
-			frc[k][p] += sign * v[k]
-		}
-		*avoided++
-	}
+	fu.own.charge(th, &tl)
+	fu.epotPer[th.ID] = tl.epot
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -68,31 +67,48 @@ func TestAccumulateLinkCountMismatchPanics(t *testing.T) {
 	})
 }
 
-// TestPrepareClearsStaleLocks is the regression test for the reused
-// lock array: an abandoned region (sibling panic while a thread held a
-// per-particle spinlock) leaves a non-zero lock word behind, and
-// Prepare used to reslice the array without zeroing it, deadlocking
-// the first lockAdd of the next run.
-func TestPrepareClearsStaleLocks(t *testing.T) {
-	ps, links, box, sp := twoParticleSystem()
-	u := NewUpdater(Atomic)
-	u.Prepare(links, ps.Len(), 2, 1)
-	// Simulate the abandoned region: particle 0's spinlock left held.
-	u.locks[links[0].I] = 1
-	u.Prepare(links, ps.Len(), 2, 1)
+// TestAbandonedLogDiscarded is the regression test for state a dead
+// region leaves behind in a reused updater: the owner-write loop takes
+// no locks, so the state at risk is a thread's update log. A hook
+// panics on thread 1 mid-chunk — on the chunk's last halo link, after
+// the core span has logged the thread's shared-particle updates; the
+// half-filled log must not leak into the next run, which must match
+// the serial kernel bit for bit.
+func TestAbandonedLogDiscarded(t *testing.T) {
+	const n, halo, T = 200, 30, 2
+	ps, list, box, sp := buildForceSystem(41, n, halo, 2)
+	ref, _ := raceRef(ps, list, box, sp, n)
+	lo, hi := chunk(len(list.Links), T, 1)
+	if lo >= list.NCore || hi <= list.NCore {
+		t.Fatalf("thread 1's chunk [%d,%d) does not straddle the core/halo boundary %d", lo, hi, list.NCore)
+	}
+	victim := list.Links[hi-1]
+	idI, idJ := ps.ID[victim.I], ps.ID[victim.J]
+	for _, m := range []Method{Atomic, SelectedAtomic, Unprotected} {
+		tm := NewTeam(T, Costs{})
+		u := NewUpdater(m)
+		u.Prepare(list.Links, ps.Len(), n, T)
+		work := ps.Clone()
+		work.ZeroForces()
+		PairForceHook = func(_ Method, i, j int32, fi geom.Vec) geom.Vec {
+			if i == idI && j == idJ {
+				panic("injected mid-chunk failure")
+			}
+			return fi
+		}
+		expectPanic(t, "thread 1 panicked", func() {
+			u.Accumulate(tm, sp, work, list.Links, list.NCore, n, box)
+		})
+		PairForceHook = nil
+		if len(u.own.th[1].split.Log) == 0 {
+			t.Fatalf("%v: thread 1 logged nothing before the failure; the test needs a half-filled log", m)
+		}
 
-	tm := NewTeam(1, Costs{})
-	defer tm.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ps.ZeroForces()
-		u.Accumulate(tm, sp, ps, links, len(links), 2, box)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Accumulate deadlocked on a stale per-particle lock Prepare failed to clear")
+		u.Prepare(list.Links, ps.Len(), n, T)
+		work.ZeroForces()
+		u.Accumulate(tm, sp, work, list.Links, list.NCore, n, box)
+		assertForcesBitEqual(t, m.String(), ref, work, n)
+		tm.Close()
 	}
 }
 

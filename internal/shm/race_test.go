@@ -3,10 +3,9 @@ package shm
 // Race-focused stress tests. These are correctness tests in a normal
 // run, but their real purpose is `go test -race`: wide teams over
 // small, dense systems so that nearly every particle sits on a
-// thread-chunk boundary and the protection strategies are forced to
-// synchronise concurrent force updates for real. Unprotected is
-// deliberately absent — it is the paper's "what goes wrong" control
-// and races by construction.
+// thread-chunk boundary and the strategies must keep concurrent force
+// updates apart for real: the owner-write loop's direct writes and
+// logs, and the reductions' private arrays and merge schedules.
 
 import (
 	"math"

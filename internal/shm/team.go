@@ -1,9 +1,11 @@
 // Package shm is a shared-memory (OpenMP-style) runtime: fork-join
 // thread teams with statically scheduled parallel loops, intra-team
-// barriers, per-particle locks, and the paper's five strategies for
+// barriers, critical sections, and the paper's five strategies for
 // protecting concurrent updates of the global force array (atomic,
 // selected atomic, and the critical / stripe / transpose array
-// reductions).
+// reductions). The atomic strategies are modelled, not executed: the
+// host runs them lock-free with a deterministic summation order and
+// the virtual clock charges their locks (see Updater).
 //
 // Threads are goroutines, so loops really run in parallel on the host;
 // each thread additionally carries a virtual clock that the kernels
@@ -220,8 +222,8 @@ func (tm *Team) Region(body func(th *Thread)) { tm.RunRegion(funcBody(body)) }
 // to the persistent workers (master runs thread 0 inline) and joins.
 // If any thread panicked, the region panics on the master after all
 // threads have stopped, and the team remains usable: the next region
-// resets the barrier and the per-particle lock owners are re-zeroed by
-// the updaters' Prepare.
+// resets the barrier, and the updaters' threads empty their update
+// logs on entry.
 func (tm *Team) RunRegion(body RegionBody) {
 	tm.StartRegion(body)
 	tm.FinishRegion(tm.clock)

@@ -12,16 +12,21 @@ import (
 )
 
 // Method selects how concurrent updates of the global force array are
-// protected, Section 7 of the paper.
+// protected, Section 7 of the paper. For the three per-update methods
+// (Atomic, SelectedAtomic, Unprotected) the method sets what the cost
+// model charges; the host runs all three on one lock-free,
+// deterministic loop (see Updater).
 type Method int
 
 const (
 	// Atomic protects every accumulation with a per-particle lock
-	// ("making every update atomic").
+	// ("making every update atomic"): every update is charged as a
+	// lock.
 	Atomic Method = iota
 	// SelectedAtomic consults a conflict table built at link-list
 	// time and locks only particles genuinely updated by more than
-	// one thread — the paper's winning strategy on the Compaq.
+	// one thread — the paper's winning strategy on the Compaq. Only
+	// updates of those particles are charged as locks.
 	SelectedAtomic
 	// CriticalReduction accumulates into thread-private arrays and
 	// performs the global sum inside a critical region; the paper
@@ -34,11 +39,11 @@ const (
 	// Transpose accumulates into a [T][N] temporary and reduces in
 	// parallel over the particle index.
 	Transpose
-	// Unprotected performs plain unlocked updates. It is INCORRECT
-	// under real concurrency and exists only for the paper's Section
-	// 9.2 ablation ("an incorrect code ... simulating a machine with
-	// an extremely efficient atomic lock"); the ablation harness runs
-	// it with T=1 real threads while modelling T virtual threads.
+	// Unprotected charges plain unlocked updates. It exists only for
+	// the paper's Section 9.2 ablation ("an incorrect code ...
+	// simulating a machine with an extremely efficient atomic lock"):
+	// the paper's code races, while this one runs the same correct
+	// host loop as the locked methods and charges no locks.
 	Unprotected
 )
 
@@ -160,13 +165,26 @@ func BuildConflictTable(links []cell.Link, nParticles, nCore, T int) *ConflictTa
 func (ct *ConflictTable) NumShared() int { return ct.nShared }
 
 // Updater executes the thread-parallel force accumulation for one
-// block with a chosen protection method. It owns the per-particle
-// locks and the reduction scratch, sized lazily to the block.
+// block with a chosen protection method. It owns the conflict table,
+// the per-thread update logs and the reduction scratch, sized lazily
+// to the block.
+//
+// The per-update methods (Atomic, SelectedAtomic, Unprotected) share
+// one lock-free host execution, the owner-write loop: each thread runs
+// the SoA pair kernel over its static link chunk and writes the
+// particles only it updates straight into the force array; thread 0
+// also writes the shared ones, and every other thread logs its updates
+// of shared particles. After the join the master replays the logs in
+// thread order. Chunks are contiguous in link order, so each particle
+// receives its increments in exactly the serial link order and the
+// result is bit-identical to the serial kernel at any team size and
+// any scheduling. The methods differ only in what the cost model
+// charges: the lock counts Prepare derives from the conflict table.
 type Updater struct {
 	Method Method
-	locks  []int32     // per-particle spinlocks (atomic methods)
 	priv   [][]float64 // T thread-private force arrays, layout [i*D+k]
 	ct     *ConflictTable
+	own    ownerWrites
 
 	// Prepared geometry, recorded so Accumulate can detect a
 	// mismatched team or link list instead of racing silently.
@@ -177,34 +195,40 @@ type Updater struct {
 	// hot path).
 	epotPer []float64
 	args    accArgs
-	scalarB scalarBody
+	ownerB  ownerBody
 	reduceB reduceBody
+
+	// turn admits threads to the critical reduction's combine in
+	// thread order.
+	turn atomic.Int32
 }
 
 // NewUpdater returns an updater for the given method.
 func NewUpdater(m Method) *Updater { return &Updater{Method: m} }
 
-// Prepare must be called whenever the link list changes: it (re)builds
-// the conflict table for the selected-atomic method and resizes the
-// lock array. T is the team size the force loop will use; Accumulate
-// panics if run with a different team size or link count.
+// ownerWrite reports whether m runs on the owner-write loop.
+func ownerWrite(m Method) bool {
+	return m == Atomic || m == SelectedAtomic || m == Unprotected
+}
+
+// Prepare must be called whenever the link list changes: for the
+// per-update methods it (re)builds the conflict table, the per-thread
+// charge counts and the update logs. T is the team size the force loop
+// will use; Accumulate panics if run with a different team size or
+// link count.
 func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
-	if cap(u.locks) < nParticles {
-		u.locks = make([]int32, nParticles)
-	}
-	u.locks = u.locks[:nParticles]
-	// Zero the reused prefix unconditionally: if a prior region was
-	// abandoned (clockBarrier.abort after a sibling panic) while some
-	// thread held a per-particle spinlock, the stale lock word would
-	// deadlock the first lockAdd of the next run.
-	for i := range u.locks {
-		u.locks[i] = 0
-	}
-	if u.Method == SelectedAtomic {
+	if ownerWrite(u.Method) {
 		if u.ct == nil {
 			u.ct = new(ConflictTable)
 		}
 		u.ct.rebuild(links, nParticles, nCore, T)
+		u.own.reset(T, 1)
+		n := len(links)
+		for t := 0; t < T; t++ {
+			lo, hi := chunk(n, T, t)
+			u.own.count(t, u.Method, links[lo:hi], u.ct.shared, nCore)
+		}
+		u.own.allocLogs()
 	}
 	u.preparedT = T
 	u.preparedLinks = len(links)
@@ -214,20 +238,14 @@ func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
 	u.epotPer = u.epotPer[:T]
 }
 
-// Conflicts returns the conflict table built by the last Prepare, or
-// nil for methods that do not use one.
-func (u *Updater) Conflicts() *ConflictTable { return u.ct }
-
-// lockAdd accumulates v into column p of the component-major dst
-// under the per-particle spinlock.
-func (u *Updater) lockAdd(p int32, dst *geom.Coords, v geom.Vec, d int, sign float64) {
-	for !atomic.CompareAndSwapInt32(&u.locks[p], 0, 1) {
-		runtime.Gosched()
+// Conflicts returns the conflict table built by the last Prepare for
+// the selected-atomic method, or nil for methods that do not consult
+// one when charging.
+func (u *Updater) Conflicts() *ConflictTable {
+	if u.Method != SelectedAtomic {
+		return nil
 	}
-	for k := 0; k < d; k++ {
-		dst[k][p] += sign * v[k]
-	}
-	atomic.StoreInt32(&u.locks[p], 0)
+	return u.ct
 }
 
 // ensurePriv sizes and zeroes the T private arrays of d*n floats each
@@ -271,11 +289,11 @@ type accArgs struct {
 	gate *HaloGate
 }
 
-// scalarBody runs the per-update protection methods (atomic,
-// selected-atomic, unprotected) for one thread.
-type scalarBody struct{ u *Updater }
+// ownerBody runs the owner-write loop of the per-update methods
+// (atomic, selected-atomic, unprotected) for one thread.
+type ownerBody struct{ u *Updater }
 
-func (b *scalarBody) RunThread(th *Thread) { b.u.scalarThread(th) }
+func (b *ownerBody) RunThread(th *Thread) { b.u.ownerThread(th) }
 
 // reduceBody runs the array-reduction methods for one thread.
 type reduceBody struct{ u *Updater }
@@ -295,7 +313,7 @@ func (b *reduceBody) RunThread(th *Thread) { b.u.reduceThread(th) }
 // panics when the team size or link count differs from Prepare's.
 func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box) float64 {
 	tm.RunRegion(u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, nil))
-	return u.sumEpot()
+	return u.finish()
 }
 
 // AccumulateStart dispatches the force region to the worker threads
@@ -313,7 +331,7 @@ func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store,
 // timeline — joins the team, and returns the potential energy.
 func (u *Updater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 	tm.FinishRegion(masterAt)
-	return u.sumEpot()
+	return u.finish()
 }
 
 // setupRegion validates the call against Prepare, stores the region
@@ -336,12 +354,14 @@ func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, lin
 
 	switch u.Method {
 	case Atomic, SelectedAtomic, Unprotected:
-		u.scalarB.u = u
-		return &u.scalarB
+		u.own.setHook(u.Method, u.args.hook)
+		u.ownerB.u = u
+		return &u.ownerB
 
 	case CriticalReduction, Stripe, Transpose:
 		u.args.words = ps.Len() * ps.D
 		u.args.priv = u.ensurePriv(tm.T, u.args.words)
+		u.turn.Store(0)
 		u.reduceB.u = u
 		return &u.reduceB
 
@@ -350,8 +370,13 @@ func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, lin
 	}
 }
 
-// sumEpot folds the per-thread potential-energy partials.
-func (u *Updater) sumEpot() float64 {
+// finish completes a joined region on the master: it replays the
+// owner-write logs (a no-op for the reductions) and folds the
+// per-thread potential-energy partials in thread order.
+func (u *Updater) finish() float64 {
+	if ownerWrite(u.Method) {
+		u.own.replay()
+	}
 	epot := 0.0
 	for _, e := range u.epotPer {
 		epot += e
@@ -359,72 +384,19 @@ func (u *Updater) sumEpot() float64 {
 	return epot
 }
 
-// scalarThread is one thread's share of the per-update protection
-// methods.
-func (u *Updater) scalarThread(th *Thread) {
+// ownerThread is one thread's share of the owner-write loop.
+func (u *Updater) ownerThread(th *Thread) {
 	a := &u.args
-	tm := th.team
-	costs := tm.Costs
-	d := a.ps.D
-	n := len(a.links)
-	lo, hi := chunk(n, tm.T, th.ID)
-	epot := 0.0
-	var taken, avoided, distSum, contacts, contactsHalo int64
-	pos, vel, frc, ids := &a.ps.Pos, &a.ps.Vel, &a.ps.Frc, a.ps.ID
-	gate := a.gate
-	if gate != nil && lo >= a.nCoreLinks {
-		gate.Wait(th)
-		gate = nil
+	lo, hi := chunk(len(a.links), th.team.T, th.ID)
+	split := u.own.begin(th.ID)
+	if th.ID > 0 {
+		split.Deferred = u.ct.shared
 	}
-	for li := lo; li < hi; li++ {
-		if gate != nil && li == a.nCoreLinks {
-			gate.Wait(th)
-			gate = nil
-		}
-		l := a.links[li]
-		disp := a.box.DispAt(pos, l.I, l.J)
-		rel := geom.SubAt(vel, l.J, l.I, d)
-		fi, e, contact := a.sp.PairID(ids[l.I], ids[l.J], disp, rel, d)
-		if a.hook != nil {
-			fi = a.hook(u.Method, ids[l.I], ids[l.J], fi)
-		}
-		if li < a.nCoreLinks {
-			if contact {
-				contacts++
-			}
-			epot += e
-		} else {
-			if contact {
-				contactsHalo++
-			}
-			epot += 0.5 * e
-		}
-		u.applyProtected(th, frc, l.I, fi, +1, d, &taken, &avoided)
-		if int(l.J) < a.nCore {
-			u.applyProtected(th, frc, l.J, fi, -1, d, &taken, &avoided)
-		}
-		di := int64(l.I) - int64(l.J)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
-	}
-	nl := int64(hi - lo)
-	coreN, haloN := splitLinks(lo, hi, a.nCoreLinks)
-	hw := costs.haloWork()
-	th.TC.ForceEvals += nl
-	th.TC.LinkVisits += nl
-	th.TC.Contacts += contacts + contactsHalo
-	th.TC.ForceUpdates += taken + avoided
-	th.TC.AtomicsTaken += taken
-	th.TC.AtomicsAvoided += avoided
-	th.TC.LinkIndexDistSum += distSum
-	th.TC.LinkIndexDistN += nl
-	th.Compute((float64(coreN)+float64(haloN)*hw)*costs.PerLink +
-		(float64(contacts)+float64(contactsHalo)*hw)*costs.PerContact +
-		float64(avoided)*costs.PerUpdate +
-		float64(taken)*(costs.PerUpdate+costs.AtomicTaken))
-	u.epotPer[th.ID] = epot
+	var tl spanTally
+	tl.run(th, a.sp, a.box, a.ps, a.links, lo, hi, a.nCoreLinks, a.nCore, split, a.gate)
+	u.own.endSpan(th.ID, a.ps)
+	u.own.charge(th, &tl)
+	u.epotPer[th.ID] = tl.epot
 }
 
 // reduceThread is one thread's share of the array-reduction methods:
@@ -515,31 +487,6 @@ func splitLinks(lo, hi, nCoreLinks int) (core, halo int64) {
 	return int64(c), int64(hi - lo - c)
 }
 
-// applyProtected performs one force accumulation under the updater's
-// protection policy.
-func (u *Updater) applyProtected(th *Thread, frc *geom.Coords, p int32, v geom.Vec, sign float64, d int, taken, avoided *int64) {
-	switch u.Method {
-	case Atomic:
-		u.lockAdd(p, frc, v, d, sign)
-		*taken++
-	case SelectedAtomic:
-		if u.ct.shared[p] {
-			u.lockAdd(p, frc, v, d, sign)
-			*taken++
-		} else {
-			for k := 0; k < d; k++ {
-				frc[k][p] += sign * v[k]
-			}
-			*avoided++
-		}
-	case Unprotected:
-		for k := 0; k < d; k++ {
-			frc[k][p] += sign * v[k]
-		}
-		*avoided++
-	}
-}
-
 // reduce merges the thread-private arrays into ps.Frc according to the
 // method. Called from within the region by every thread; contains the
 // barriers each strategy needs.
@@ -556,15 +503,25 @@ func (u *Updater) reduce(th *Thread, tm *Team, ps *particle.Store, words, d int,
 		// clock models the serialisation by staggering completion in
 		// thread order, so the modelled region time grows as T times
 		// the reduction work — the paper's "extremely poor" result.
-		// The critical section is entered inline (not via
-		// tm.Critical) so the hot path needs no closure.
+		//
+		// On the host, threads enter the combine in thread order
+		// through the turn counter instead of the team mutex, so the
+		// summation order — and with it every bit of the result — is
+		// independent of scheduling. The turn counter is host-only:
+		// the modelled charges below are those of the critical
+		// section it stands in for.
 		th.Barrier() // all private arrays complete
-		tm.mu.Lock()
+		for u.turn.Load() != int32(th.ID) {
+			if tm.bar.isAborted() {
+				panic("shm: critical reduction abandoned by a panicked thread")
+			}
+			runtime.Gosched()
+		}
 		mine := priv[th.ID]
 		for i := 0; i < words; i++ {
 			frc[i%d][i/d] += mine[i]
 		}
-		tm.mu.Unlock()
+		u.turn.Add(1)
 		th.Compute(tm.Costs.Critical)
 		th.TC.CriticalEnters++
 		th.TC.ReductionWords += int64(words)

@@ -14,33 +14,44 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite the seed golden trajectories from the current code (only valid on a bit-exact baseline)")
 
 // soaGoldenMode is one execution shape replayed against the seed
-// goldens. The four modes cover every driver the SoA storage rewrite
-// touched; the fused variant additionally covers the whole-rank fused
-// kernel.
+// goldens. Only the two reference modes own a golden file: every
+// threaded shape must reproduce the golden of the thread-free mode
+// with the same decomposition bit for bit — openmp the serial golden,
+// hybrid and hybrid-fused the mpi golden — at any team size, update
+// method and scheduling.
 type soaGoldenMode struct {
 	name   string
+	golden string // the reference mode whose golden this shape must match
 	mutate func(*core.Config)
 }
 
-var soaGoldenModes = []soaGoldenMode{
-	{"serial", func(c *core.Config) {}},
-	{"openmp", func(c *core.Config) {
+// openmpMode is an openmp shape with team size t and method m.
+func openmpMode(name string, t int, m shm.Method) soaGoldenMode {
+	return soaGoldenMode{name, "serial", func(c *core.Config) {
 		c.Mode = core.OpenMP
-		c.T = 3
-		c.Method = shm.SelectedAtomic
-	}},
-	{"mpi", func(c *core.Config) {
+		c.T = t
+		c.Method = m
+	}}
+}
+
+var soaGoldenModes = []soaGoldenMode{
+	{"serial", "serial", func(c *core.Config) {}},
+	openmpMode("openmp", 3, shm.SelectedAtomic),
+	openmpMode("openmp-t2", 2, shm.SelectedAtomic),
+	openmpMode("openmp-t4", 4, shm.SelectedAtomic),
+	openmpMode("openmp-atomic", 3, shm.Atomic),
+	{"mpi", "mpi", func(c *core.Config) {
 		c.Mode = core.MPI
 		c.P = 2
 		c.BlocksPerProc = 2
 	}},
-	{"hybrid", func(c *core.Config) {
+	{"hybrid", "mpi", func(c *core.Config) {
 		c.Mode = core.Hybrid
 		c.P, c.T = 2, 2
 		c.BlocksPerProc = 2
 		c.Method = shm.SelectedAtomic
 	}},
-	{"hybrid-fused", func(c *core.Config) {
+	{"hybrid-fused", "mpi", func(c *core.Config) {
 		c.Mode = core.Hybrid
 		c.P, c.T = 2, 2
 		c.BlocksPerProc = 2
@@ -85,15 +96,17 @@ func soaGoldenConfig(t *testing.T, c soaGoldenCase) core.Config {
 }
 
 // TestSoABitIdenticalToSeed replays the five seeded scenario families
-// through all four execution modes (plus the fused hybrid kernel) and
-// demands CompareExact equality with golden trajectories captured
-// before the structure-of-arrays storage refactor. Any reassociation
-// of floating-point arithmetic in the particle store, the link
-// builder, the pair kernel, the integrator, the halo exchange or the
-// reduction strategies fails this test with the first divergent step,
-// particle and component.
+// through all four execution modes (openmp at several team sizes and
+// both per-update methods, plus the fused hybrid kernel) and demands
+// CompareExact equality with the serial and mpi golden trajectories
+// captured before the structure-of-arrays storage refactor. Any
+// reassociation of floating-point arithmetic in the particle store,
+// the link builder, the pair kernel, the integrator, the halo exchange
+// or the shared-memory update loop fails this test with the first
+// divergent step, particle and component.
 //
-// Regenerate (only from a known bit-exact baseline!) with:
+// Regenerate the two reference goldens (only from a known bit-exact
+// baseline!) with:
 //
 //	go test ./internal/verify -run TestSoABitIdenticalToSeed -update-golden
 func TestSoABitIdenticalToSeed(t *testing.T) {
@@ -114,8 +127,11 @@ func TestSoABitIdenticalToSeed(t *testing.T) {
 					t.Fatal(err)
 				}
 				path := filepath.Join("testdata",
-					fmt.Sprintf("soa_%v_d%d_%s.golden", c.kind, c.d, m.name))
+					fmt.Sprintf("soa_%v_d%d_%s.golden", c.kind, c.d, m.golden))
 				if *updateGolden {
+					if m.golden != m.name {
+						return // threaded shapes own no golden
+					}
 					if err := SaveGoldenFile(path, tr); err != nil {
 						t.Fatal(err)
 					}
@@ -127,7 +143,7 @@ func TestSoABitIdenticalToSeed(t *testing.T) {
 					t.Fatalf("%v (regenerate from a bit-exact baseline with -update-golden)", err)
 				}
 				if dv := CompareExact(want, tr); dv != nil {
-					t.Fatalf("trajectory diverged from the pre-SoA seed golden: %v", dv)
+					t.Fatalf("trajectory diverged from the pre-SoA %s seed golden: %v", m.golden, dv)
 				}
 			})
 		}

@@ -13,11 +13,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden file from the current output")
 
-// goldenArgs pins the regression run: two cheap experiments (a paper
-// table and a section estimate) at the smallest particle count the
-// suite accepts, one iteration, fixed seed. Everything on stdout is
-// virtual-clock output, so the bytes are reproducible.
-var goldenArgs = []string{"-exp", "T1,X1", "-n", "40000", "-iters", "1", "-seed", "1"}
+// goldenArgs pins the regression run: a paper table, a section
+// estimate, and the two figures that run the synchronous halo-exchange
+// schedule beside the split-phase one (X7, X10), at the smallest
+// particle count the suite accepts, one iteration, fixed seed.
+// Everything on stdout is virtual-clock output, so the bytes are
+// reproducible.
+var goldenArgs = []string{"-exp", "T1,X1,X7,X10", "-n", "40000", "-iters", "1", "-seed", "1"}
 
 func TestListSmoke(t *testing.T) {
 	var out, errb bytes.Buffer

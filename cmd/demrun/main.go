@@ -80,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fill     = fs.Float64("fill", 0, "cluster particles into the bottom fraction of the box (0 = uniform)")
 		damp     = fs.Float64("damp", 0, "dissipative spring damping")
 		hertz    = fs.Bool("hertz", false, "Hertzian contact law instead of the linear spring")
-		f32      = fs.Bool("float32", false, "single-precision pair kernel (serial mode only; not bit-identical)")
 		initVel  = fs.Float64("vel", 0, "initial velocity scale")
 		modelN   = fs.Int("modeln", 0, "model the cache behaviour of this many particles (0 = actual N)")
 		save     = fs.String("save", "", "write a checkpoint of the final state to this file")
@@ -137,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.FillHeight = *fill
 	cfg.Spring.Damp = *damp
 	cfg.Spring.Hertz = *hertz
-	cfg.Float32 = *f32
 	cfg.InitVel = *initVel
 	cfg.ModelN = *modelN
 	if *walls {

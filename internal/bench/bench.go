@@ -31,10 +31,9 @@ type Options struct {
 	Seed   int64 // 0 -> 1
 	Full   bool  // paper scale: 10^6 particles, 40/20 iterations
 
-	// NoOverlap disables the split-phase halo exchange, running every
-	// experiment with the synchronous protocol (the paper's original
-	// formulation). X7 ignores it: that experiment sweeps both settings
-	// by construction.
+	// NoOverlap runs every experiment with the synchronous schedule of
+	// the halo exchange (the paper's original formulation). X7 ignores
+	// it: that experiment sweeps both schedules by construction.
 	NoOverlap bool
 
 	// Rebalance selects dynamic block→rank load balancing in every

@@ -132,9 +132,9 @@ func TestStepSteadyStateZeroAllocDistributed(t *testing.T) {
 			cfg.Fused = true
 			return cfg
 		}},
-		// Synchronous-exchange variants: the default cases above run
-		// the split-phase path (Overlap is on in Default), these pin
-		// the legacy path so neither protocol regresses.
+		// Synchronous-schedule variants: the default cases above run
+		// the overlapped schedule (Overlap is on in Default), these pin
+		// the synchronous one so neither schedule regresses.
 		{"mpi-sync", func() Config {
 			cfg := allocConfig(MPI)
 			cfg.P = 4

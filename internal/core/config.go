@@ -263,14 +263,6 @@ type Config struct {
 
 	Reorder bool // cell-order particle reordering at every list rebuild
 
-	// Float32 switches the serial pair kernel to the single-precision
-	// fast path: pair geometry evaluates on float32 mirrors of the
-	// positions while forces and energies still accumulate in float64.
-	// Trajectories are NOT bit-identical to the double-precision
-	// kernel — verify.CompareApprox bounds the drift. Serial mode
-	// only, incompatible with bond tables.
-	Float32 bool
-
 	Mode          Mode
 	P             int        // MPI ranks (MPI/Hybrid)
 	T             int        // threads (OpenMP/Hybrid)
@@ -307,14 +299,16 @@ type Config struct {
 	// after a degrade-and-recover changed the rank count).
 	InitTree *decomp.ORBTree
 
-	// Overlap enables the split-phase halo exchange in the distributed
-	// modes: the step posts the exchange, accumulates core-link forces
-	// while the messages are in flight, then completes the exchange and
-	// accumulates halo-link forces; the end-of-step energy allreduce is
-	// likewise overlapped with the rebuild vote. Trajectories are
-	// bit-identical to the synchronous exchange — only the modelled
-	// timeline changes, charging max(comm, core compute) instead of
-	// their sum. Ignored by the serial and pure-OpenMP modes.
+	// Overlap selects the distributed step's schedule. Every step posts
+	// the halo exchange split-phase; with Overlap the core-link forces
+	// accumulate while the messages are in flight, the exchange
+	// completes before the halo-link forces, and the end-of-step energy
+	// allreduce is overlapped with the rebuild vote. Without it the
+	// exchange completes as soon as it is posted — the paper's
+	// synchronous swap. Trajectories are bit-identical under both
+	// schedules; only the modelled timeline changes, charging
+	// max(comm, core compute) instead of their sum. Ignored by the
+	// serial and pure-OpenMP modes.
 	Overlap bool
 
 	// Platform supplies the virtual cost model; nil runs with free
@@ -439,14 +433,6 @@ func (c *Config) Validate() error {
 	if bt := c.Spring.Bonds; bt != nil && bt.MaxRest() >= c.RC() {
 		return fmt.Errorf("core: longest bond rest length %g reaches the cutoff %g; bonded pairs would leave the link list",
 			bt.MaxRest(), c.RC())
-	}
-	if c.Float32 {
-		if c.Mode != Serial {
-			return fmt.Errorf("core: Float32 fast path is serial-only (mode %v)", c.Mode)
-		}
-		if c.Spring.Bonds != nil {
-			return fmt.Errorf("core: Float32 fast path does not support bond tables")
-		}
 	}
 	switch c.Mode {
 	case Serial:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"hybriddem/internal/geom"
 	"hybriddem/internal/machine"
@@ -337,20 +338,14 @@ func TestModeTableCoverage(t *testing.T) {
 	}
 }
 
-// TestMpismValidation pins mpism's own constraints: threads are the
-// node's other ranks, so T>1 is illegal, and the float32 halo
-// compression remains a serial-only experiment.
+// TestMpismValidation pins mpism's own constraint: threads are the
+// node's other ranks, so T>1 is illegal.
 func TestMpismValidation(t *testing.T) {
 	cfg := Default(2, 100)
 	cfg.Mode = MPIsm
 	cfg.P, cfg.T = 4, 2
 	if err := cfg.Validate(); err == nil {
 		t.Error("mpism with T=2 accepted")
-	}
-	cfg.T = 1
-	cfg.Float32 = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("mpism with the Float32 fast path accepted")
 	}
 }
 
@@ -404,5 +399,39 @@ func TestEfficiencyHelper(t *testing.T) {
 	zero := &Result{}
 	if zero.Efficiency(ref, 1) != 0 {
 		t.Error("zero-time efficiency should be 0")
+	}
+}
+
+// TestWallTimesMeasuredLoop: Result.Wall is the host time of the
+// measured iterations only. With a 200-step warm-up and two measured
+// steps it must be shorter than the time from the Run call to the
+// first measured step's OnStep, which includes set-up and warm-up.
+func TestWallTimesMeasuredLoop(t *testing.T) {
+	for _, mode := range []Mode{Serial, OpenMP, MPI, Hybrid} {
+		cfg := Default(2, 400)
+		cfg.Mode = mode
+		switch mode {
+		case OpenMP:
+			cfg.T = 2
+		case MPI:
+			cfg.P = 2
+		case Hybrid:
+			cfg.P, cfg.T = 2, 2
+		}
+		cfg.Warmup = 200
+		var toFirst time.Duration
+		start := time.Now()
+		cfg.OnStep = func(i int, _, _ float64) {
+			if i == 0 {
+				toFirst = time.Since(start)
+			}
+		}
+		res, err := Run(cfg, 2)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Wall >= toFirst {
+			t.Errorf("%v: Wall %v is not below the %v from Run to the first measured step", mode, res.Wall, toFirst)
+		}
 	}
 }

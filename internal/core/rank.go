@@ -29,15 +29,14 @@ type rankSim struct {
 	// Per-step scratch, refreshed at rebuild so the step loop itself
 	// allocates nothing: block views for the team kernels, the fused
 	// piece list, the two-element energy reduction buffer, the
-	// rebuild-vote buffer of the overlapped path, and the gate that
-	// holds hybrid threads at the core/halo link boundary until the
-	// split-phase exchange lands.
+	// rebuild-vote buffer, and the gate that holds hybrid threads at
+	// the core/halo link boundary until the split-phase exchange lands.
 	stores []*shm.BlockStore
 	cores  []int
 	pieces []shm.FusedPiece
 	energy [2]float64
 	vote   [1]float64
-	gate   *shm.HaloGate // hybrid overlap only
+	gate   *shm.HaloGate // hybrid only
 
 	linkCost, contactCost, updCost, partCost float64
 
@@ -275,78 +274,42 @@ func (r *rankSim) syncClocks() {
 }
 
 // step advances one iteration and returns the modelled seconds of the
-// timed window (halo swap + force + energy + update).
+// timed window (halo swap + force + energy + update). Every step posts
+// the split-phase halo exchange; cfg.Overlap picks the schedule. The
+// overlapped schedule drains the exchange inside the force pass, behind
+// the core links (which read no halo data), and posts the energy
+// allreduce together with the rebuild vote, charging max(comm, core
+// compute) where the synchronous schedule — the paper's halo swap —
+// drains before forces are zeroed, runs the two collectives back to
+// back, and pays the sum. Each particle accumulates zero, core links in
+// list order, halo links in list order, gravity under both schedules,
+// so their trajectories are bit-identical.
 func (r *rankSim) step() float64 {
-	if r.cfg.Overlap {
-		return r.stepOverlap()
-	}
-	return r.stepSync()
-}
-
-// stepSync is the synchronous baseline: complete the halo swap, then
-// run the whole force loop, then the blocking energy allreduce and the
-// blocking rebuild vote. The modelled step time is comm + compute.
-func (r *rankSim) stepSync() float64 {
 	cfg := r.cfg
 	dm := r.dm
-	box := cfg.Box()
-	plain := dm.PlainBox()
 	r.syncClocks()
 	t0 := r.clock()
 
 	r.iter++
 
-	// Halo swap.
 	c0 := r.clock()
-	dm.RefreshHalos()
-	r.syncClocks()
-	r.commTime += r.clock() - c0
-	r.span("comm", c0, r.clock())
-
-	// Force phase over every owned block: core links at full energy,
-	// halo links at half.
-	f0 := r.clock()
-	epot := 0.0
-	switch {
-	case r.team == nil:
-		// Halo-link counts are a surface effect, so their charges get
-		// the surface/bulk weight when modelling a larger system.
-		hw := cfg.surfScale() / cfg.workScale()
-		for _, b := range dm.Blocks {
-			b.PS.ZeroForces()
-			c0 := dm.TC.Contacts
-			epot += cfg.Spring.Accumulate(b.PS, b.List.CoreLinks(), b.NCore, plain, 1, &dm.TC)
-			cCore := dm.TC.Contacts - c0
-			epot += cfg.Spring.Accumulate(b.PS, b.List.HaloLinks(), b.NCore, plain, 0.5, &dm.TC)
-			cHalo := dm.TC.Contacts - c0 - cCore
-			nCore := float64(b.List.NCore)
-			nHalo := float64(len(b.List.Links) - b.List.NCore)
-			eff := nCore + nHalo*hw
-			r.c.Compute(eff*r.linkCost +
-				(float64(cCore)+float64(cHalo)*hw)*r.contactCost +
-				2*eff*r.updCost)
-			if cfg.Gravity != 0 {
-				force.ApplyGravity(b.PS, b.NCore, cfg.D-1, cfg.Gravity)
-			}
-		}
-	case r.fused != nil:
-		shm.ZeroForcesAllBlocks(r.team, r.stores)
-		epot = r.fused.Accumulate(r.team, cfg.Spring, plain)
-		r.applyGravityBlocks()
-	default:
-		shm.ZeroForcesAllBlocks(r.team, r.stores)
-		for i, b := range dm.Blocks {
-			epot += r.upds[i].Accumulate(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain)
-		}
-		r.applyGravityBlocks()
+	dm.BeginRefreshHalos()
+	if !cfg.Overlap {
+		dm.FinishRefreshHalos()
 	}
 	r.syncClocks()
-	r.forceTime += r.clock() - f0
-	r.span("force", f0, r.clock())
+	c1 := r.clock() // the post, or the whole exchange when synchronous
+
+	var epot float64
+	if r.team == nil {
+		epot = r.forceRank(c0, c1)
+	} else {
+		epot = r.forceTeam(c0, c1)
+	}
 
 	// Update phase: integrate core particles of every block.
 	u0 := r.clock()
-	ekin := r.integrate(box)
+	ekin := r.integrate(cfg.Box())
 	r.syncClocks()
 	r.updateTime += r.clock() - u0
 	r.span("update", u0, r.clock())
@@ -359,75 +322,16 @@ func (r *rankSim) stepSync() float64 {
 	// update phase would hide exactly the per-rank load imbalance the
 	// phase split (and Result.Imbalance) exists to expose. It is kept
 	// out of comm too, so the comm column stays a pure halo-exchange
-	// measure (what the overlap figures difference).
-	e0 := r.clock()
-	r.energy[0], r.energy[1] = epot, ekin
-	r.c.AllreduceInPlace(r.energy[:], mp.Sum)
-	r.epot, r.ekin = r.energy[0], r.energy[1]
-	r.syncClocks()
-	r.collTime += r.clock() - e0
-	r.span("coll", e0, r.clock())
-
-	elapsed := r.clock() - t0
-
-	// Validity check + rebuild live outside the timed window.
-	b0 := r.clock()
-	if !r.dm.ListsValid(cfg.Skin()) {
-		r.rebuild()
-		r.syncClocks()
-		r.span("rebuild", b0, r.clock())
-	}
-	r.syncClocks()
-	return elapsed
-}
-
-// stepOverlap is the split-phase step: post the halo exchange, run the
-// core-link force pass while the messages are in flight, complete the
-// exchange, then the halo-link pass; the energy allreduce is posted
-// together with the rebuild vote so the two collectives overlap. The
-// per-particle accumulation order is identical to stepSync (zero, core
-// links in list order, halo links in list order, gravity), so the
-// trajectory is bit-identical — only the modelled timeline changes,
-// charging max(comm, core compute) where the synchronous step pays the
-// sum.
-func (r *rankSim) stepOverlap() float64 {
-	cfg := r.cfg
-	dm := r.dm
-	box := cfg.Box()
-	plain := dm.PlainBox()
-	r.syncClocks()
-	t0 := r.clock()
-
-	r.iter++
-
-	// Split-phase halo swap wrapped around the force phase.
-	var epot float64
-	switch {
-	case r.team == nil:
-		epot = r.overlapForceMPI(plain)
-	case r.fused != nil:
-		epot = r.overlapForceFused(plain)
-	default:
-		epot = r.overlapForceBlocks(plain)
-	}
-
-	// Update phase: integrate core particles of every block.
-	u0 := r.clock()
-	ekin := r.integrate(box)
-	r.syncClocks()
-	r.updateTime += r.clock() - u0
-	r.span("update", u0, r.clock())
-
-	// Post the energy allreduce and the rebuild vote back to back;
-	// waiting the energy covers most of the vote's latency, hiding the
-	// second collective behind the first. As in stepSync the wait is
-	// charged to the collective bucket, not update — it is the
-	// imbalance wait on the slowest rank.
+	// measure (what the overlap figures difference). Under overlap the
+	// rebuild vote is posted before the energy wait, which covers most
+	// of the vote's latency.
 	e0 := r.clock()
 	r.energy[0], r.energy[1] = epot, ekin
 	eReq := r.c.IAllreduceInPlace(r.energy[:], mp.Sum)
-	r.vote[0] = dm.MaxCoreDisp2()
-	vReq := r.c.IAllreduceInPlace(r.vote[:], mp.Max)
+	var vReq *mp.CollRequest
+	if cfg.Overlap {
+		vReq = r.postVote()
+	}
 	eReq.Wait()
 	r.epot, r.ekin = r.energy[0], r.energy[1]
 	r.syncClocks()
@@ -436,9 +340,12 @@ func (r *rankSim) stepOverlap() float64 {
 
 	elapsed := r.clock() - t0
 
-	// The rebuild vote completes outside the timed window, exactly
-	// like stepSync's ListsValid.
+	// The rebuild vote completes, and the rebuild runs, outside the
+	// timed window.
 	b0 := r.clock()
+	if vReq == nil {
+		vReq = r.postVote()
+	}
 	vReq.Wait()
 	r.syncClocks()
 	if skin := cfg.Skin(); r.vote[0] >= skin*skin {
@@ -450,29 +357,35 @@ func (r *rankSim) stepOverlap() float64 {
 	return elapsed
 }
 
-// overlapForceMPI is the split-phase force pass of a single-threaded
-// rank: post the exchange, then run the core-link pass (it touches no
-// halo storage) in D stages, draining one exchange dimension between
-// stages so each leg's flight time is covered by the next stage's
-// compute. Draining mid-pass matters beyond hiding the first leg: a
-// later dimension's sends cannot depart before the earlier halos land,
-// so a rank that drained only after its full core pass would hold up
-// its neighbours' later legs — the progressive drain posts each
-// dimension after roughly 1/D of the pass instead. The core links of
-// each block still run in list order across the stages, so the
-// trajectory stays bit-identical to stepSync. Exposed waits and
-// pack/unpack charges are attributed to comm, the stages to force, and
-// "overlap" spans mark the windows the in-flight messages hide behind.
-func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
+// postVote posts the collective list-validity vote: the largest
+// squared core displacement since the last rebuild over all ranks.
+func (r *rankSim) postVote() *mp.CollRequest {
+	r.vote[0] = r.dm.MaxCoreDisp2()
+	return r.c.IAllreduceInPlace(r.vote[:], mp.Max)
+}
+
+// forceRank is the force pass of a single-threaded rank. The core-link
+// pass (it touches no halo storage) runs in D stages; while the
+// exchange is in flight one dimension drains between stages, so each
+// leg's flight time is covered by the next stage's compute. Draining
+// mid-pass matters beyond hiding the first leg: a later dimension's
+// sends cannot depart before the earlier halos land, so a rank that
+// drained only after its full core pass would hold up its neighbours'
+// later legs — the progressive drain posts each dimension after
+// roughly 1/D of the pass instead. The core links of each block still
+// run in list order across the stages. The post (c0-c1), exposed waits
+// and pack/unpack charges are attributed to comm, the stages to force,
+// and "overlap" spans mark the windows in-flight messages hide behind.
+func (r *rankSim) forceRank(c0, c1 float64) float64 {
 	cfg := r.cfg
 	dm := r.dm
+	plain := dm.PlainBox()
 	d := cfg.D
+	// Halo-link counts are a surface effect, so their charges get the
+	// surface/bulk weight when modelling a larger system.
 	hw := cfg.surfScale() / cfg.workScale()
 	epot := 0.0
 
-	c0 := r.clock()
-	dm.BeginRefreshHalos()
-	c1 := r.clock() // post cost: dimension 0's packs + sends
 	r.commTime += c1 - c0
 	r.span("comm", c0, c1)
 
@@ -480,9 +393,9 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 		b.PS.ZeroForces()
 	}
 
-	// Staged core-link pass interleaved with the progressive drain.
 	// The refresh has exactly d dimensions, so the final stage's drain
 	// completes it.
+	inFlight := cfg.Overlap
 	for s := 0; s < d; s++ {
 		f0 := r.clock()
 		for _, b := range dm.Blocks {
@@ -497,12 +410,14 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 		f1 := r.clock()
 		r.forceTime += f1 - f0
 		r.span("force", f0, f1)
+		if !inFlight {
+			continue
+		}
 		r.span("overlap", f0, f1)
-		w0 := r.clock()
-		dm.FinishRefreshDim()
+		inFlight = dm.FinishRefreshDim()
 		w1 := r.clock()
-		r.commTime += w1 - w0
-		r.span("comm", w0, w1)
+		r.commTime += w1 - f1
+		r.span("comm", f1, w1)
 	}
 
 	// Halo-link pass: only now are the halo positions current.
@@ -523,86 +438,66 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 	return epot
 }
 
-// overlapForceBlocks is the split-phase force pass of a hybrid rank
-// with per-block updaters: the first block's region is dispatched to
-// the workers with StartRegion, the master drains the exchange while
-// they chew through the core links (threads reaching the core/halo
-// boundary of their chunk park on the gate), then the gate opens at
-// the communication clock, the master joins the region, and the
-// remaining blocks run with halos already in place.
-func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
+// forceTeam is the force pass of a hybrid rank's thread team, for
+// per-block updaters and the fused updater alike. The first region —
+// the fused loop over every block, or block 0's — is dispatched to the
+// workers before the master drains the exchange; threads reaching the
+// core/halo boundary of their chunk park on the gate until it opens at
+// the communication clock. With nothing in flight the gate opens at
+// once, at the region's start, and charges no stall. The remaining
+// blocks' regions run with halos already in place.
+func (r *rankSim) forceTeam(c0, c1 float64) float64 {
 	cfg := r.cfg
 	dm := r.dm
-
-	c0 := r.clock()
-	dm.BeginRefreshHalos()
-	r.syncClocks()
-	c1 := r.clock() // post cost folded into the team clock
+	plain := dm.PlainBox()
 
 	shm.ZeroForcesAllBlocks(r.team, r.stores)
 	r.syncClocks() // comm clock to the region join: the master zeroes too
 
+	// The rebalancer can leave a rank briefly blockless; with per-block
+	// updaters it then starts no region and just drains the exchange.
 	r.gate.Reset()
-	if len(dm.Blocks) == 0 {
-		// The rebalancer can leave a rank briefly blockless; just drain
-		// the exchange.
-		d0 := r.c.Clock()
+	switch {
+	case r.fused != nil:
+		r.fused.AccumulateStart(r.team, cfg.Spring, plain, r.gate)
+	case len(dm.Blocks) > 0:
+		b := dm.Blocks[0]
+		r.upds[0].AccumulateStart(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain, r.gate)
+	}
+	d0 := r.c.Clock()
+	if cfg.Overlap {
 		r.drainExchange()
-		d1 := r.c.Clock()
-		r.gate.Open(d1)
-		r.syncClocks()
-		r.accountHybridOverlap(c0, c1, d0, d1, r.clock())
-		return 0
 	}
-	b0 := dm.Blocks[0]
-	r.upds[0].AccumulateStart(r.team, cfg.Spring, b0.PS, b0.List.Links, b0.List.NCore, b0.NCore, plain, r.gate)
-
-	d0 := r.c.Clock()
-	r.drainExchange()
 	d1 := r.c.Clock()
 	r.gate.Open(d1)
 
-	epot := r.upds[0].AccumulateFinish(r.team, d1)
-	for i := 1; i < len(dm.Blocks); i++ {
-		b := dm.Blocks[i]
-		epot += r.upds[i].Accumulate(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain)
+	epot := 0.0
+	switch {
+	case r.fused != nil:
+		epot = r.fused.AccumulateFinish(r.team, d1)
+	case len(dm.Blocks) > 0:
+		epot = r.upds[0].AccumulateFinish(r.team, d1)
+		for i := 1; i < len(dm.Blocks); i++ {
+			b := dm.Blocks[i]
+			epot += r.upds[i].Accumulate(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain)
+		}
 	}
 	r.applyGravityBlocks()
 	r.syncClocks()
 	fEnd := r.clock()
 
-	r.accountHybridOverlap(c0, c1, d0, d1, fEnd)
-	return epot
-}
-
-// overlapForceFused is overlapForceBlocks for the fused updater: one
-// region covers every block's links, so the whole force loop overlaps
-// the drain.
-func (r *rankSim) overlapForceFused(plain geom.Box) float64 {
-	cfg := r.cfg
-
-	c0 := r.clock()
-	r.dm.BeginRefreshHalos()
-	r.syncClocks()
-	c1 := r.clock()
-
-	shm.ZeroForcesAllBlocks(r.team, r.stores)
-	r.syncClocks()
-
-	r.gate.Reset()
-	r.fused.AccumulateStart(r.team, cfg.Spring, plain, r.gate)
-
-	d0 := r.c.Clock()
-	r.drainExchange()
-	d1 := r.c.Clock()
-	r.gate.Open(d1)
-
-	epot := r.fused.AccumulateFinish(r.team, d1)
-	r.applyGravityBlocks()
-	r.syncClocks()
-	fEnd := r.clock()
-
-	r.accountHybridOverlap(c0, c1, d0, d1, fEnd)
+	// The post (c0-c1) and the exposed gate stall count as
+	// communication, the rest of the force window as compute; the drain
+	// (d0-d1) is marked as the overlap span — comm hidden under the
+	// workers' core links.
+	stall := r.gate.MaxStall()
+	r.commTime += (c1 - c0) + stall
+	r.forceTime += max(fEnd-c1-stall, 0)
+	r.span("comm", c0, c1)
+	r.span("force", c1, fEnd)
+	if d1 > d0 {
+		r.span("overlap", d0, d1)
+	}
 	return epot
 }
 
@@ -617,25 +512,6 @@ func (r *rankSim) drainExchange() {
 		}
 	}()
 	r.dm.FinishRefreshHalos()
-}
-
-// accountHybridOverlap attributes the hybrid split-phase intervals:
-// the post (c0-c1) and the exposed gate stall count as communication,
-// the rest of the force window as compute; the drain (d0-d1) is marked
-// as the overlap span — comm hidden under the workers' core links.
-func (r *rankSim) accountHybridOverlap(c0, c1, d0, d1, fEnd float64) {
-	stall := r.gate.MaxStall()
-	r.commTime += (c1 - c0) + stall
-	ft := (fEnd - c1) - stall
-	if ft < 0 {
-		ft = 0
-	}
-	r.forceTime += ft
-	r.span("comm", c0, c1)
-	r.span("force", c1, fEnd)
-	if d1 > d0 {
-		r.span("overlap", d0, d1)
-	}
 }
 
 // integrate advances every block's core particles and returns the
@@ -721,8 +597,9 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 	}
 
 	results := make([]*Result, cfg.P)
-	stopped := false // written by rank 0 only, read after RunOpts returns
-	start := time.Now()
+	// Written by rank 0 only, read after RunOpts returns.
+	stopped := false
+	var wall time.Duration
 	comms, err := mp.RunOpts(cfg.P, mp.RunOptions{
 		Net:         net,
 		Faults:      cfg.Faults,
@@ -766,6 +643,7 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 		}
 		r.forceTime, r.updateTime, r.commTime, r.collTime = 0, 0, 0, 0
 		rebuilds0 := r.rebuilds
+		start := time.Now()
 
 		total := 0.0
 		completed := 0
@@ -828,6 +706,9 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 				}
 			}
 		}
+		if c.Rank() == 0 {
+			wall = time.Since(start)
+		}
 		// The full virtual clock since the post-warmup reset covers the
 		// timed phases plus rebuilds, migration, and repartition; read
 		// it before the result collectives below advance it further.
@@ -888,7 +769,6 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 		}
 		results[c.Rank()] = res
 	})
-	wall := time.Since(start)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,6 @@ type sharedSim struct {
 	team *shm.Team // nil in Serial mode
 	upd  *shm.Updater
 
-	f32 force.F32Scratch // single-precision mirrors for the Float32 path
-
 	clock    float64 // serial-mode virtual clock
 	tc       trace.Counters
 	rebuilds int
@@ -190,11 +188,7 @@ func (s *sharedSim) step() float64 {
 	if s.team == nil {
 		s.ps.ZeroForces()
 		c0 := s.tc.Contacts
-		if cfg.Float32 {
-			s.epot = cfg.Spring.AccumulateF32(s.ps, s.list.Links, cfg.N, s.box, 1, &s.f32, &s.tc)
-		} else {
-			s.epot = cfg.Spring.Accumulate(s.ps, s.list.Links, cfg.N, s.box, 1, &s.tc)
-		}
+		s.epot = cfg.Spring.Accumulate(s.ps, s.list.Links, cfg.N, s.box, 1, &s.tc)
 		n := int64(len(s.list.Links))
 		s.clock += float64(n)*s.linkCost +
 			float64(s.tc.Contacts-c0)*s.contactCost +

@@ -441,19 +441,21 @@ func TestReorderImprovesLocality(t *testing.T) {
 	}
 }
 
-func TestListsValidDetectsMotion(t *testing.T) {
+// TestMaxCoreDisp2DetectsMotion: the rebuild vote is the max-allreduce
+// of MaxCoreDisp2, so a particle moved past the skin on one rank must
+// flip the collective answer on both.
+func TestMaxCoreDisp2DetectsMotion(t *testing.T) {
 	const n = 200
+	const skin = 0.1
 	box := geom.NewBox(2, 10, geom.Periodic)
 	l := mustLayout(t, box, 0.6, 2, 1)
 	mp.Run(2, nil, func(c *mp.Comm) {
 		dm := NewDomain(l, c, false)
 		dm.FillUniform(n, 19, 0)
 		dm.Rebuild(false)
-		if !dm.ListsValid(0.1) {
-			t.Error("fresh list reported invalid")
+		if d2 := c.AllreduceScalar(dm.MaxCoreDisp2(), mp.Max); d2 >= skin*skin {
+			t.Errorf("fresh list reported displacement^2 %g", d2)
 		}
-		// Move one particle on rank 0 beyond the skin: the collective
-		// answer must flip on BOTH ranks.
 		if c.Rank() == 0 {
 			for _, b := range dm.Blocks {
 				if b.NCore > 0 {
@@ -462,8 +464,8 @@ func TestListsValidDetectsMotion(t *testing.T) {
 				}
 			}
 		}
-		if dm.ListsValid(0.1) {
-			t.Error("stale list reported valid")
+		if d2 := c.AllreduceScalar(dm.MaxCoreDisp2(), mp.Max); d2 < skin*skin {
+			t.Errorf("stale list reported displacement^2 %g below skin^2", d2)
 		}
 	})
 }

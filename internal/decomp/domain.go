@@ -247,15 +247,6 @@ func (dm *Domain) MaxCoreDisp2() float64 {
 	return maxd
 }
 
-// ListsValid reports, collectively across all ranks, whether every
-// core particle has moved less than skin since the last rebuild. All
-// ranks receive the same answer.
-func (dm *Domain) ListsValid(skin float64) bool {
-	local := dm.MaxCoreDisp2()
-	global := dm.C.AllreduceScalar(local, mp.Max)
-	return global < skin*skin
-}
-
 // Rebuild performs the full list-invalidation sequence of Section 6:
 // wrap + migrate particles to their new home blocks, optionally
 // reorder cores into cell order (the cache optimisation), rebuild halo

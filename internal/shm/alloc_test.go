@@ -65,7 +65,8 @@ func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	defer tm.Close()
 	step := func() {
 		ZeroForcesAllBlocks(tm, blocks)
-		fu.Accumulate(tm, sp, box)
+		fu.AccumulateStart(tm, sp, box, nil)
+		fu.AccumulateFinish(tm, tm.Clock())
 		IntegrateAllBlocks(tm, blocks, cores, 0, box, force.WrapGlobal)
 	}
 	for i := 0; i < 5; i++ {

@@ -143,5 +143,6 @@ func TestFusedPrepareMismatchPanics(t *testing.T) {
 			t.Error("team-size mismatch accepted")
 		}
 	}()
-	fu.Accumulate(tm, sp, box)
+	fu.AccumulateStart(tm, sp, box, nil)
+	fu.AccumulateFinish(tm, tm.Clock())
 }

@@ -200,17 +200,10 @@ type fusedBody struct{ fu *FusedUpdater }
 
 func (b *fusedBody) RunThread(th *Thread) { b.fu.runThread(th) }
 
-// Accumulate runs the fused force loop in one parallel region and
-// returns the total potential energy (halo links at half weight).
-func (fu *FusedUpdater) Accumulate(tm *Team, sp force.Spring, box geom.Box) float64 {
-	fu.setupRegion(tm, sp, box, nil)
-	tm.RunRegion(&fu.body)
-	return fu.finish()
-}
-
-// AccumulateStart dispatches the fused force region to the worker
-// threads and returns immediately so the rank goroutine can drain its
-// split-phase halo exchange; threads block on gate at the core/halo
+// AccumulateStart dispatches the fused force loop — one parallel region
+// over every piece's links — to the worker threads and returns
+// immediately so the rank goroutine can drain its split-phase halo
+// exchange; threads block on gate (when non-nil) at the core/halo
 // boundary of their chunk. Complete with AccumulateFinish.
 func (fu *FusedUpdater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box, gate *HaloGate) {
 	fu.setupRegion(tm, sp, box, gate)
@@ -219,7 +212,7 @@ func (fu *FusedUpdater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box,
 
 // AccumulateFinish runs the master's share of a region begun with
 // AccumulateStart (starting no earlier than masterAt), joins the team,
-// and returns the potential energy.
+// and returns the total potential energy (halo links at half weight).
 func (fu *FusedUpdater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 	tm.FinishRegion(masterAt)
 	return fu.finish()

@@ -124,7 +124,8 @@ func runFused(a, b propSystem, m Method, T int, gated bool) (*particle.Store, *p
 		{PS: wb, Links: b.list.Links, NCoreLinks: b.list.NCore, NCore: b.n},
 	}, T)
 	if !gated {
-		return wa, wb, fu.Accumulate(tm, a.sp, a.box)
+		fu.AccumulateStart(tm, a.sp, a.box, nil)
+		return wa, wb, fu.AccumulateFinish(tm, tm.Clock())
 	}
 	gate := NewHaloGate()
 	fu.AccumulateStart(tm, a.sp, a.box, gate)

@@ -77,7 +77,8 @@ func TestRaceFusedUnderContention(t *testing.T) {
 				{PS: workB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: n},
 			}, T)
 			tm := NewTeam(T, Costs{})
-			e := fu.Accumulate(tm, sp, box)
+			fu.AccumulateStart(tm, sp, box, nil)
+			e := fu.AccumulateFinish(tm, tm.Clock())
 			if math.Abs(e-eref) > 1e-9*math.Abs(eref) {
 				t.Fatalf("fused %v rep %d: energy %g vs serial %g", m, r, e, eref)
 			}

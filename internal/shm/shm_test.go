@@ -335,7 +335,8 @@ func TestFusedMatchesSerial(t *testing.T) {
 				{PS: workB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 150},
 			}, T)
 			tm := NewTeam(T, Costs{})
-			e := fu.Accumulate(tm, sp, box)
+			fu.AccumulateStart(tm, sp, box, nil)
+			e := fu.AccumulateFinish(tm, tm.Clock())
 			if math.Abs(e-eref) > 1e-9*math.Abs(eref) {
 				t.Errorf("fused %v T=%d: energy %g vs %g", m, T, e, eref)
 			}

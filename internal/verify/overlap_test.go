@@ -7,15 +7,16 @@ import (
 	"hybriddem/internal/shm"
 )
 
-// TestOverlapBitIdenticalToSync is the acceptance oracle of the
-// split-phase halo exchange: overlapping communication with the
-// core-link force pass reschedules work but reassociates no
-// floating-point operation, so the trajectory must match the
-// synchronous exchange bit for bit — not merely within tolerance.
-// Shapes cover MPI at two decompositions, both deterministic hybrid
-// reductions at T=2, the lock-based strategies at T=1 (their lock
-// acquisition order is only deterministic single-threaded), the fused
-// loop, and a damped system whose halos carry velocities.
+// TestOverlapBitIdenticalToSync is the acceptance oracle of the rank
+// step's two schedules: overlapping communication with the core-link
+// force pass reschedules work but reassociates no floating-point
+// operation, so the trajectory must match the synchronous schedule bit
+// for bit — not merely within tolerance. Shapes cover MPI and mpism at
+// several decompositions, every hybrid update method including the
+// owner-write ones at T>1 (their conflicted updates replay in thread
+// order, so any T is deterministic), the fused loop, damped systems
+// whose halos carry velocities, and both rebalancers, whose migrations
+// follow the rebuild vote.
 func TestOverlapBitIdenticalToSync(t *testing.T) {
 	type shape struct {
 		name   string
@@ -56,6 +57,43 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 			c.P, c.T, c.BlocksPerProc = 2, 1, 2
 			c.Method = shm.SelectedAtomic
 			c.Fused = true
+		}},
+		{"hybrid/selected-atomic-t2", Uniform, func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T, c.BlocksPerProc = 2, 2, 2
+			c.Method = shm.SelectedAtomic
+		}},
+		{"hybrid/atomic-t3", Clustered, func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T, c.BlocksPerProc = 2, 3, 2
+			c.Method = shm.Atomic
+		}},
+		{"hybrid/fused-selected-atomic-t2", Uniform, func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T, c.BlocksPerProc = 2, 2, 2
+			c.Method = shm.SelectedAtomic
+			c.Fused = true
+		}},
+		{"hybrid/critical-t2-damped", Clustered, func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T, c.BlocksPerProc = 2, 2, 2
+			c.Method = shm.CriticalReduction
+			c.Spring.Damp = 2
+		}},
+		{"mpism/p4", Uniform, func(c *core.Config) {
+			c.Mode = core.MPIsm
+			c.P = 4
+		}},
+		{"mpi/p2-lpt", Clustered, func(c *core.Config) {
+			c.Mode = core.MPI
+			c.P, c.BlocksPerProc = 2, 4
+			c.Rebalance = core.RebalanceLPT
+		}},
+		{"hybrid/orb-t2", Clustered, func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T, c.BlocksPerProc = 2, 2, 4
+			c.Method = shm.SelectedAtomic
+			c.Rebalance = core.RebalanceORB
 		}},
 	}
 	for _, s := range shapes {

@@ -177,91 +177,3 @@ func localize(box geom.Box, sa, sb Step, s, i int, dp, dv float64) *Divergence {
 	return &Divergence{Step: s, Particle: i, Field: field, Component: comp,
 		A: va[comp], B: vb[comp], Dev: dev}
 }
-
-// FieldTol bounds one field's per-particle deviation for
-// CompareApprox: a pair of values passes when their Euclidean
-// deviation is within Abs + Rel*scale, where scale is the larger of
-// the two field magnitudes at that particle. Abs alone covers values
-// near zero; Rel alone covers large-magnitude fields.
-type FieldTol struct {
-	Rel float64 // relative bound against the field magnitude
-	Abs float64 // absolute floor
-}
-
-// allows reports whether deviation dev at magnitude scale satisfies
-// the bound.
-func (t FieldTol) allows(dev, scale float64) bool {
-	return dev <= t.Abs+t.Rel*scale
-}
-
-// ApproxTol carries the per-field bounds of CompareApprox.
-type ApproxTol struct {
-	Pos FieldTol
-	Vel FieldTol
-}
-
-// Float32Tol is the default bound for comparing the single-precision
-// kernel (core.Config.Float32) against the float64 baseline: each
-// pair interaction rounds through float32 (2^-24 relative), and over
-// a few hundred steps the integrator compounds that into position and
-// velocity drift a few orders above one ulp. The box edge sets the
-// position scale, so the position bound is mostly absolute; velocity
-// scales with itself.
-func Float32Tol(box geom.Box) ApproxTol {
-	edge := box.Len[0]
-	for k := 1; k < box.D; k++ {
-		if box.Len[k] > edge {
-			edge = box.Len[k]
-		}
-	}
-	return ApproxTol{
-		Pos: FieldTol{Rel: 1e-4, Abs: 1e-4 * edge},
-		Vel: FieldTol{Rel: 1e-3, Abs: 1e-5},
-	}
-}
-
-// CompareApprox walks two trajectories like Compare but with
-// independent relative/absolute bounds per field, returning the first
-// violation (nil if none) and the maximum deviation seen in either
-// field. Positions are compared under the box's minimum image.
-// It is the oracle for transformations that legitimately perturb the
-// arithmetic — the float32 kernel path — where a single scalar
-// tolerance either drowns position drift or trips on near-zero
-// velocities.
-func CompareApprox(box geom.Box, a, b *Trajectory, tol ApproxTol) (*Divergence, float64) {
-	steps := len(a.Steps)
-	if len(b.Steps) < steps {
-		steps = len(b.Steps)
-	}
-	maxDev := 0.0
-	var first *Divergence
-	for s := 0; s < steps; s++ {
-		sa, sb := a.Steps[s], b.Steps[s]
-		n := len(sa.Pos)
-		if len(sb.Pos) < n {
-			n = len(sb.Pos)
-		}
-		for i := 0; i < n; i++ {
-			dp := math.Sqrt(box.Dist2(sa.Pos[i], sb.Pos[i]))
-			dv := math.Sqrt(geom.Norm2(geom.Sub(sa.Vel[i], sb.Vel[i], box.D), box.D))
-			if dp > maxDev {
-				maxDev = dp
-			}
-			if dv > maxDev {
-				maxDev = dv
-			}
-			if first != nil {
-				continue
-			}
-			pscale := math.Max(math.Sqrt(geom.Norm2(sa.Pos[i], box.D)), math.Sqrt(geom.Norm2(sb.Pos[i], box.D)))
-			vscale := math.Max(math.Sqrt(geom.Norm2(sa.Vel[i], box.D)), math.Sqrt(geom.Norm2(sb.Vel[i], box.D)))
-			if !tol.Pos.allows(dp, pscale) || !tol.Vel.allows(dv, vscale) {
-				first = localize(box, sa, sb, s, i, dp, dv)
-			}
-		}
-	}
-	if len(a.Steps) != len(b.Steps) && first == nil {
-		first = &Divergence{Step: steps, Field: "length", Dev: math.Abs(float64(len(a.Steps) - len(b.Steps)))}
-	}
-	return first, maxDev
-}

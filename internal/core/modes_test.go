@@ -9,6 +9,7 @@ import (
 	"hybriddem/internal/geom"
 	"hybriddem/internal/machine"
 	"hybriddem/internal/shm"
+	"hybriddem/internal/trace"
 )
 
 // TestDampedHybridMatchesSerial exercises the velocity-carrying halo
@@ -432,6 +433,39 @@ func TestWallTimesMeasuredLoop(t *testing.T) {
 		}
 		if res.Wall >= toFirst {
 			t.Errorf("%v: Wall %v is not below the %v from Run to the first measured step", mode, res.Wall, toFirst)
+		}
+	}
+}
+
+// TestOverlapSpansOnlyWhileInFlight: "overlap" timeline spans mark
+// windows in which halo messages are in flight, so the overlapped
+// schedule records them and the synchronous schedule, which drains the
+// exchange as soon as it is posted, records none.
+func TestOverlapSpansOnlyWhileInFlight(t *testing.T) {
+	for _, mode := range []Mode{MPI, Hybrid} {
+		for _, overlap := range []bool{false, true} {
+			cfg := Default(2, 400)
+			cfg.Mode = mode
+			cfg.P = 2
+			if mode == Hybrid {
+				cfg.T = 2
+			}
+			cfg.Platform = machine.CompaqES40()
+			cfg.Overlap = overlap
+			tl := &trace.Timeline{}
+			cfg.Timeline = tl
+			if _, err := Run(cfg, 3); err != nil {
+				t.Fatalf("%v overlap=%v: %v", mode, overlap, err)
+			}
+			n := 0
+			for _, s := range tl.Spans() {
+				if s.Phase == "overlap" {
+					n++
+				}
+			}
+			if (n > 0) != overlap {
+				t.Errorf("%v overlap=%v: %d overlap spans", mode, overlap, n)
+			}
 		}
 	}
 }
